@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-train bench bench-json bench-gate smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test perfbench-test vet lint race race-train bench bench-json bench-gate smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -11,6 +11,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench-test runs the benchmark module's own tests (perfbench is a
+# nested module, so `go test ./...` at the root skips it). Among them,
+# TestReplayReproducesStep requires the staged replay through
+# interp.Gather, mover.Kick, mover.Drift and interp.Deposit to equal
+# pic.Simulation.Step's fused particle pass bit for bit.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 vet:
 	$(GO) vet ./...

@@ -1,5 +1,5 @@
 // Benchmarks regenerating the computational kernels behind every table
-// and figure of the paper, plus the ablations called out in DESIGN.md.
+// and figure of the paper, plus ablations of the design choices.
 // One bench (or bench pair) corresponds to each experiment:
 //
 //	Table I  -> BenchmarkTableI_MLPInference / _CNNInference / _Evaluate

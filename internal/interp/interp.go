@@ -79,7 +79,7 @@ func (s Scheme) Support() int {
 
 // weights computes, for a particle at position x on grid g, the leftmost
 // touched node index and the per-node weights w (sum 1). The node index
-// may be negative or >= N; callers wrap modulo N.
+// may be negative or >= N; callers wrap it with Node.
 //
 // Conventions (h = x/dx):
 //   - NGP: node round(h), weight 1.
@@ -89,23 +89,47 @@ func weights(s Scheme, g *grid.Grid, x float64, w *[3]float64) (left int, count 
 	h := x / g.Dx()
 	switch s {
 	case NGP:
-		i := int(h + 0.5)
 		w[0] = 1
-		return i, 1
+		return NGPNode(h), 1
 	case CIC:
-		i := int(h)
-		frac := h - float64(i)
-		w[0] = 1 - frac
-		w[1] = frac
-		return i, 2
+		left, w[0], w[1] = CICWeights(h)
+		return left, 2
 	default: // TSC
-		i := int(h + 0.5)
-		d := h - float64(i) // in [-0.5, 0.5]
-		w[0] = 0.5 * (0.5 - d) * (0.5 - d)
-		w[1] = 0.75 - d*d
-		w[2] = 0.5 * (0.5 + d) * (0.5 + d)
-		return i - 1, 3
+		left, w[0], w[1], w[2] = TSCWeights(h)
+		return left, 3
 	}
+}
+
+// NGPNode, CICWeights and TSCWeights are weights for one scheme at
+// h = x/dx: the leftmost touched node and the per-node weights (NGP's
+// single weight is 1). They inline, so a particle loop that fixes the
+// scheme — the fused PIC step — computes exactly what Gather and
+// Deposit compute, without a call per particle.
+func NGPNode(h float64) int { return int(h + 0.5) }
+
+// CICWeights is weights for CIC at h = x/dx; see NGPNode.
+func CICWeights(h float64) (left int, w0, w1 float64) {
+	left = int(h)
+	frac := h - float64(left)
+	return left, 1 - frac, frac
+}
+
+// TSCWeights is weights for TSC at h = x/dx; see NGPNode.
+func TSCWeights(h float64) (left int, w0, w1, w2 float64) {
+	i := int(h + 0.5)
+	d := h - float64(i) // in [-0.5, 0.5]
+	return i - 1, 0.5 * (0.5 - d) * (0.5 - d), 0.75 - d*d, 0.5 * (0.5 + d) * (0.5 + d)
+}
+
+// Node wraps a touched-node index, at most one period outside the
+// grid, into [0, n).
+func Node(idx, n int) int {
+	if idx >= n {
+		idx -= n
+	} else if idx < 0 {
+		idx += n
+	}
+	return idx
 }
 
 // Gather evaluates the grid field on each particle position:
@@ -125,13 +149,7 @@ func Gather(s Scheme, g *grid.Grid, field []float64, pos []float64, out []float6
 			left, cnt := weights(s, g, pos[p], &w)
 			var v float64
 			for k := 0; k < cnt; k++ {
-				idx := left + k
-				// wrap into [0, n)
-				if idx >= n {
-					idx -= n
-				} else if idx < 0 {
-					idx += n
-				}
+				idx := Node(left+k, n)
 				v += w[k] * field[idx]
 			}
 			out[p] = v
@@ -152,25 +170,37 @@ func Deposit(s Scheme, g *grid.Grid, pos []float64, charge float64, rho []float6
 	if len(rho) != g.N() {
 		panic(fmt.Sprintf("interp: Deposit rho length %d, grid %d", len(rho), g.N()))
 	}
-	n := g.N()
 	parallel.ScatterReduce(len(pos), rho, func(acc []float64, start, end int) {
-		var w [3]float64
-		for p := start; p < end; p++ {
-			left, cnt := weights(s, g, pos[p], &w)
-			for k := 0; k < cnt; k++ {
-				idx := left + k
-				if idx >= n {
-					idx -= n
-				} else if idx < 0 {
-					idx += n
-				}
-				acc[idx] += w[k]
-			}
-		}
+		Scatter(s, g, pos[start:end], acc)
 	})
 	scale := charge / g.Dx()
 	for i := range rho {
 		rho[i] *= scale
+	}
+}
+
+// Scatter adds the unit-charge weights W(x - x_i) of every position in
+// pos into acc (length g.N()), particle by particle in order. It is
+// Deposit's per-chunk body, before the charge/dx scaling; the fused PIC
+// step scatters its particle blocks through it too, so its density
+// rows are Deposit's bit for bit.
+func Scatter(s Scheme, g *grid.Grid, pos, acc []float64) {
+	n, dx := g.N(), g.Dx()
+	for _, x := range pos {
+		h := x / dx
+		switch s {
+		case NGP:
+			acc[Node(NGPNode(h), n)] += 1
+		case CIC:
+			i, w0, w1 := CICWeights(h)
+			acc[Node(i, n)] += w0
+			acc[Node(i+1, n)] += w1
+		default:
+			i, w0, w1, w2 := TSCWeights(h)
+			acc[Node(i, n)] += w0
+			acc[Node(i+1, n)] += w1
+			acc[Node(i+2, n)] += w2
+		}
 	}
 }
 
@@ -191,12 +221,7 @@ func DepositWeighted(s Scheme, g *grid.Grid, pos, weight []float64, rho []float6
 			left, cnt := weights(s, g, pos[p], &w)
 			wp := weight[p]
 			for k := 0; k < cnt; k++ {
-				idx := left + k
-				if idx >= n {
-					idx -= n
-				} else if idx < 0 {
-					idx += n
-				}
+				idx := Node(left+k, n)
 				acc[idx] += w[k] * wp
 			}
 		}

@@ -342,6 +342,32 @@ func TestDepositWeightedMatchesDepositWhenUniform(t *testing.T) {
 	}
 }
 
+// Scatter's per-scheme straight-line kernels must add exactly what the
+// generic weights loop adds, in the same order, bit for bit — including
+// the seam nodes wrapped by Node at x = 0 and x just below L.
+func TestScatterMatchesWeightsLoop(t *testing.T) {
+	g := grid.MustNew(16, 2.0)
+	pos := append(randomPositions(rng.New(11), 500, g.Length()),
+		0, g.Dx(), 0.5*g.Dx(), math.Nextafter(g.Length(), 0))
+	for _, s := range allSchemes {
+		got := make([]float64, g.N())
+		want := make([]float64, g.N())
+		Scatter(s, g, pos, got)
+		var w [3]float64
+		for _, x := range pos {
+			left, cnt := weights(s, g, x, &w)
+			for k := 0; k < cnt; k++ {
+				want[Node(left+k, g.N())] += w[k]
+			}
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: node %d = %v, weights loop %v", s, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestDepositDeterministicAcrossRuns(t *testing.T) {
 	g := grid.MustNew(64, 2.0)
 	pos := randomPositions(rng.New(8), 100000, g.Length())

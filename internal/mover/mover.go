@@ -79,22 +79,33 @@ func Drift(x, v []float64, dt float64, g *grid.Grid) {
 	parallel.For(len(x), func(start, end int) {
 		for i := start; i < end; i++ {
 			xn := x[i] + v[i]*dt
-			// Fast wrap for the common one-period overshoot, falling back
-			// to the general wrap for large excursions.
-			if xn >= l {
-				xn -= l
-				if xn >= l {
-					xn = g.Wrap(xn)
-				}
-			} else if xn < 0 {
-				xn += l
-				if xn < 0 {
-					xn = g.Wrap(xn)
-				}
+			if xn >= l || xn < 0 {
+				xn = Rewrap(xn, g)
 			}
 			x[i] = xn
 		}
 	})
+}
+
+// Rewrap maps a drifted position that left [0, L) back into it: the
+// fast shift for the common one-period overshoot, falling back to the
+// general wrap for large excursions. Drift and the fused PIC step call
+// it only for particles that leave the box, so their in-box path stays
+// inline.
+func Rewrap(xn float64, g *grid.Grid) float64 {
+	l := g.Length()
+	if xn >= l {
+		xn -= l
+		if xn >= l {
+			xn = g.Wrap(xn)
+		}
+	} else {
+		xn += l
+		if xn < 0 {
+			xn = g.Wrap(xn)
+		}
+	}
+	return xn
 }
 
 // Boris2V advances a 1D2V particle population (positions x, velocity

@@ -106,6 +106,7 @@ func LoadCheckpoint(r io.Reader, method FieldMethod) (*Simulation, error) {
 		stepN:  f.StepN,
 		time:   f.Time,
 	}
+	sim.initPass()
 	return sim, nil
 }
 

@@ -12,6 +12,14 @@
 //     deposit rho and solve Poisson for the traditional method, or
 //     bin phase space and run the neural network for the DL method.
 //
+// Step runs stages 1, 2 and the traditional deposit as one fused pass
+// over the particles. The staged layer functions (interp.Gather,
+// mover.Kick, mover.Drift, interp.Deposit) are its oracle. The pass
+// repeats their per-particle arithmetic over the same fixed chunks and
+// folds one Cells+2 row (density plus the two kick sums) in chunk
+// order, so every element's sum is the one the separate kernels
+// produce, bit for bit, at any GOMAXPROCS.
+//
 // Normalization (paper §III): dimensionless units with eps0 = 1 and
 // plasma frequency Wp; the electron charge-to-mass ratio is QOverM = -1
 // ("q/m equal to one" in magnitude). The macro-particle charge follows
@@ -173,18 +181,27 @@ type Simulation struct {
 	// current field.
 	Rho, Phi, E []float64
 
-	// Ep is the per-particle gathered field (scratch, length N).
+	// Ep is per-particle field scratch of length N. Step does not fill
+	// it (its fused pass keeps E_p in a register); New's de-stagger
+	// gathers into it, and the staged replays of Step use it between
+	// their gather and kick.
 	Ep []float64
 
 	// IonRho is the uniform neutralizing background density (+Wp^2*Eps0).
 	IonRho float64
 
-	method   FieldMethod
-	plan     *fft.Plan
-	stepN    int
-	time     float64
-	lastKick mover.KickResult
-	rng      *rng.Source
+	method FieldMethod
+	plan   *fft.Plan
+	stepN  int
+	time   float64
+	rng    *rng.Source
+
+	// acc is the fused pass's reduction target, length Cells+2: the
+	// unscaled density in [0, Cells) and the kick's VProdSum and
+	// VMidSum in the last two slots. pass is s.passChunk, bound once so
+	// the per-step ScatterReduce call allocates no closure.
+	acc  []float64
+	pass func(acc []float64, start, end int)
 }
 
 // New builds a simulation with the given field method (nil selects the
@@ -231,6 +248,7 @@ func New(cfg Config, method FieldMethod) (*Simulation, error) {
 		plan:   fft.MustPlan(cfg.Cells),
 		rng:    r,
 	}
+	sim.initPass()
 	if err := sim.method.ComputeField(sim, sim.E); err != nil {
 		return nil, fmt.Errorf("pic: initial field solve: %w", err)
 	}
@@ -249,63 +267,158 @@ func (s *Simulation) Time() float64 { return s.time }
 // StepCount returns the number of completed steps.
 func (s *Simulation) StepCount() int { return s.stepN }
 
-// gather interpolates the current grid field to the particles.
+// gather interpolates the current grid field to the particles into Ep.
 func (s *Simulation) gather() {
 	if s.Cfg.EnergyConserving {
-		s.gatherEnergyConserving()
+		parallel.For(len(s.P.X), func(start, end int) {
+			for p := start; p < end; p++ {
+				s.Ep[p] = s.energyConservingAt(s.P.X[p])
+			}
+		})
 		return
 	}
 	interp.Gather(s.Cfg.Scheme, s.G, s.E, s.P.X, s.Ep)
 }
 
-// gatherEnergyConserving evaluates the field at particles from potential
+// energyConservingAt evaluates the field at x from potential
 // differences across the particle's cell faces (the classic
 // energy-conserving differencing of Birdsall & Langdon §10): with NGP
 // weighting of E defined on faces, E_p = (phi[i] - phi[i+1]) / dx for
 // the cell containing the particle.
-func (s *Simulation) gatherEnergyConserving() {
-	n := s.G.N()
-	dx := s.G.Dx()
-	parallel.For(len(s.P.X), func(start, end int) {
-		for p := start; p < end; p++ {
-			i := s.G.CellOf(s.P.X[p])
-			ip := i + 1
-			if ip == n {
-				ip = 0
-			}
-			s.Ep[p] = (s.Phi[i] - s.Phi[ip]) / dx
+func (s *Simulation) energyConservingAt(x float64) float64 {
+	i := s.G.CellOf(x)
+	ip := i + 1
+	if ip == s.G.N() {
+		ip = 0
+	}
+	return (s.Phi[i] - s.Phi[ip]) / s.G.Dx()
+}
+
+// initPass allocates the fused pass's accumulator and binds its body.
+func (s *Simulation) initPass() {
+	s.acc = make([]float64, s.Cfg.Cells+2)
+	s.pass = s.passChunk
+}
+
+// passBlock is the particle count the fused pass pushes before it
+// deposits them: 4 KB each of x and v, so the deposit re-reads x from
+// L1 while the push and deposit loops each keep short dependency
+// chains for the out-of-order core to overlap.
+const passBlock = 512
+
+// passChunk is Step's fused particle pass over particles [start, end):
+// block by block it gathers, kicks and drifts (push) and, when acc is
+// the full Cells+2 row, deposits the moved particles into acc[:Cells]
+// through interp.Scatter, Deposit's own per-chunk body. The particle
+// order inside the chunk is unchanged, so the density row and the kick
+// sums — added to the last two slots of acc after the loop, as in
+// mover.Kick — are the staged kernels' chunk partials bit for bit.
+func (s *Simulation) passChunk(acc []float64, start, end int) {
+	deposit := len(acc) == len(s.acc)
+	var ps, ms float64
+	for b := start; b < end; b += passBlock {
+		be := min(b+passBlock, end)
+		ps, ms = s.push(b, be, ps, ms)
+		if deposit {
+			interp.Scatter(s.Cfg.Scheme, s.G, s.P.X[b:be], acc[:s.Cfg.Cells])
 		}
-	})
+	}
+	acc[len(acc)-2] += ps
+	acc[len(acc)-1] += ms
+}
+
+// push gathers E^n at x^n, kicks v^{n-1/2} -> v^{n+1/2} and drifts
+// x^n -> x^{n+1} for particles [start, end), continuing the kick sums
+// ps and ms. Each expression is that of interp.Gather, mover.Kick and
+// mover.Drift, written out per scheme from interp's inlinable weights
+// so the loop makes no call per particle.
+func (s *Simulation) push(start, end int, ps, ms float64) (float64, float64) {
+	x, v, e := s.P.X, s.P.V, s.E
+	g, scheme, ec := s.G, s.Cfg.Scheme, s.Cfg.EnergyConserving
+	n, dx, l := g.N(), g.Dx(), g.Length()
+	qm, dt := s.P.QOverM, s.Cfg.Dt
+	for p := start; p < end; p++ {
+		xp := x[p]
+		var ep float64
+		if ec {
+			ep = s.energyConservingAt(xp)
+		} else {
+			h := xp / dx
+			switch scheme {
+			case interp.NGP:
+				ep += e[interp.Node(interp.NGPNode(h), n)] // weight 1: 1*f == f
+			case interp.CIC:
+				i, w0, w1 := interp.CICWeights(h)
+				ep += w0 * e[interp.Node(i, n)]
+				ep += w1 * e[interp.Node(i+1, n)]
+			default:
+				i, w0, w1, w2 := interp.TSCWeights(h)
+				ep += w0 * e[interp.Node(i, n)]
+				ep += w1 * e[interp.Node(i+1, n)]
+				ep += w2 * e[interp.Node(i+2, n)]
+			}
+		}
+		vOld := v[p]
+		vNew := vOld + qm*ep*dt
+		v[p] = vNew
+		ps += vOld * vNew
+		ms += 0.5 * (vOld + vNew)
+		xn := xp + vNew*dt
+		if xn >= l || xn < 0 {
+			xn = mover.Rewrap(xn, g)
+		}
+		x[p] = xn
+	}
+	return ps, ms
 }
 
 // Step advances the system by one time step and returns the diagnostics
 // sample for the time level at the *start* of the step (the level at
 // which the current E field and time-centered kinetic energy coincide).
+//
+// The particle stages run as one fused pass (passChunk, see the package
+// doc). The traditional method's deposit rides along in it; any other
+// method gets the pass without the deposit, then its own ComputeField.
 func (s *Simulation) Step() (diag.Sample, error) {
 	cfg := s.Cfg
-	// 1. Gather E^n at x^n.
-	s.gather()
-	// 2a. Kick v^{n-1/2} -> v^{n+1/2}, accumulating time-centered sums.
-	kick := mover.Kick(s.P.V, s.Ep, s.P.QOverM, cfg.Dt)
-	s.lastKick = kick
-	sample := diag.Sample{
-		Step:     s.stepN,
-		Time:     s.time,
-		Kinetic:  0.5 * s.P.Mass * kick.VProdSum,
-		Field:    diag.FieldEnergy(s.G, s.E, cfg.Eps0),
-		Momentum: s.P.Mass * kick.VMidSum,
-		ModeAmp:  diag.ModeAmplitude(s.plan, s.E, cfg.DiagMode),
+	trad, deposit := s.method.(*TraditionalField)
+	acc := s.acc
+	if !deposit {
+		acc = acc[cfg.Cells:]
 	}
-	sample.Total = sample.Kinetic + sample.Field
-	// 2b. Drift x^n -> x^{n+1}.
-	mover.Drift(s.P.X, s.P.V, cfg.Dt, s.G)
-	// 3. Field solve at the new positions.
-	if err := s.method.ComputeField(s, s.E); err != nil {
+	parallel.ScatterReduce(s.P.N(), acc, s.pass)
+	sample := s.sample(mover.KickResult{VProdSum: acc[len(acc)-2], VMidSum: acc[len(acc)-1]})
+	var err error
+	if deposit {
+		scale := s.P.Charge / s.G.Dx()
+		for i := range s.Rho {
+			s.Rho[i] = acc[i] * scale
+		}
+		err = trad.solve(s, s.E)
+	} else {
+		err = s.method.ComputeField(s, s.E)
+	}
+	if err != nil {
 		return sample, fmt.Errorf("pic: field solve at step %d: %w", s.stepN+1, err)
 	}
 	s.stepN++
 	s.time += cfg.Dt
 	return sample, nil
+}
+
+// sample is the diagnostics of the current step's time level from the
+// kick's time-centered sums and the field E^n.
+func (s *Simulation) sample(kick mover.KickResult) diag.Sample {
+	sample := diag.Sample{
+		Step:     s.stepN,
+		Time:     s.time,
+		Kinetic:  0.5 * s.P.Mass * kick.VProdSum,
+		Field:    diag.FieldEnergy(s.G, s.E, s.Cfg.Eps0),
+		Momentum: s.P.Mass * kick.VMidSum,
+		ModeAmp:  diag.ModeAmplitude(s.plan, s.E, s.Cfg.DiagMode),
+	}
+	sample.Total = sample.Kinetic + sample.Field
+	return sample
 }
 
 // Run advances n steps, recording diagnostics into rec (which may be
@@ -394,6 +507,12 @@ func (t *TraditionalField) Solver() poisson.Solver { return t.solver }
 // ComputeField implements FieldMethod.
 func (t *TraditionalField) ComputeField(sim *Simulation, e []float64) error {
 	interp.Deposit(sim.Cfg.Scheme, sim.G, sim.P.X, sim.P.Charge, sim.Rho)
+	return t.solve(sim, e)
+}
+
+// solve finishes the field stage from the deposited electron density
+// in sim.Rho: add the ion background, solve for phi, differentiate.
+func (t *TraditionalField) solve(sim *Simulation, e []float64) error {
 	for i := range sim.Rho {
 		sim.Rho[i] += sim.IonRho
 	}
